@@ -3,14 +3,13 @@
 //!
 //! Besides the criterion groups, this target runs an *interleaved* A/B/C
 //! comparison over a ≥64-AS synthetic topology: (A) the reference
-//! `combine_paths` per query, (B) the memoized [`PathDb`] with a warm
-//! cache, and (C) the `PathDb` immediately after a store invalidation
-//! (segments crossing one core interface removed and re-registered, so
-//! every cached entry is generation-stale and must be triaged against
-//! the bucket content fingerprints). Interleaving the batches
-//! (A,B,C,A,B,C,…) rather than
-//! running each variant in one block keeps frequency scaling and cache
-//! pollution from biasing one side. Results land in `BENCH_control.json`
+//! `combine_paths` per query, (B) the memoized [`EpochPathDb`] with a warm
+//! cache, and (C) the `EpochPathDb` immediately after a store invalidation
+//! (segments crossing one core interface removed and re-registered in one
+//! `mutate_store` batch, so every cached entry is generation-stale and
+//! must be triaged against the bucket content fingerprints). Interleaving
+//! the batches (A,B,C,A,B,C,…) rather than running each variant in one
+//! block keeps frequency scaling and cache pollution from biasing one side. Results land in `BENCH_control.json`
 //! at the repo root.
 //!
 //! The same run also executes the concurrency SLO sweep
@@ -26,8 +25,8 @@ use sciera_measure::slo::{run_slo, SloConfig, SloPoint};
 use sciera_topology::links::build_control_graph;
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
 use scion_control::combine::combine_paths;
+use scion_control::epoch::EpochPathDb;
 use scion_control::graph::{ControlGraph, LinkType};
-use scion_control::pathdb::PathDb;
 use scion_control::store::SegmentHandle;
 use scion_proto::addr::{ia, IsdAsn};
 
@@ -84,12 +83,12 @@ fn synthetic_graph() -> (ControlGraph, Vec<IsdAsn>) {
 
 /// Beacons the synthetic graph and picks a deterministic cross-core query
 /// mix over the grandchild leaves.
-fn setup() -> (PathDb, Vec<(IsdAsn, IsdAsn)>) {
+fn setup() -> (EpochPathDb, Vec<(IsdAsn, IsdAsn)>) {
     let (graph, leaves) = synthetic_graph();
     let store = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig::default())
         .run()
         .expect("beaconing succeeds");
-    let db = PathDb::new(store);
+    let db = EpochPathDb::new(store);
     let pairs: Vec<(IsdAsn, IsdAsn)> = (0..12)
         .map(|i| {
             let s = leaves[(i * 7) % leaves.len()];
@@ -103,14 +102,14 @@ fn setup() -> (PathDb, Vec<(IsdAsn, IsdAsn)>) {
 
 /// The invalidation the cold variant applies each iteration: kill one core
 /// interface (removing every segment crossing it), then re-register the
-/// setup-time segment set. Contents end up identical but the store carries
-/// a new generation, so every cached entry is stale and must be triaged.
-/// The per-bucket content fingerprints detect the restore — each touched
-/// bucket's fingerprint returns to its pre-kill value — so entries
-/// revalidate in place instead of recombining; the cold figure measures
-/// the store mutation plus that triage sweep. (A mutation that genuinely
-/// changes bucket contents still recombines — the differential tests and
-/// proptests pin that path.)
+/// setup-time segment set, and publish the result. Contents end up
+/// identical but the store carries a new generation, so every cached entry
+/// is stale and must be triaged. The per-bucket content fingerprints
+/// detect the restore — each touched bucket's fingerprint returns to its
+/// pre-kill value — so entries revalidate in place instead of recombining;
+/// the cold figure measures the store mutation, the publish, plus that
+/// triage sweep. (A mutation that genuinely changes bucket contents still
+/// recombines — the differential tests and proptests pin that path.)
 struct Invalidation {
     ia: IsdAsn,
     ifid: u16,
@@ -118,12 +117,14 @@ struct Invalidation {
 }
 
 impl Invalidation {
-    fn capture(db: &PathDb) -> Self {
-        let cores = db.store().known_cores();
+    fn capture(db: &EpochPathDb) -> Self {
+        let snap = db.snapshot();
+        let store = snap.store();
+        let cores = store.known_cores();
         let mut core_snapshot = Vec::new();
         for &a in &cores {
             for &b in &cores {
-                core_snapshot.extend(db.store().core_between_handles(a, b).iter().cloned());
+                core_snapshot.extend(store.core_between_handles(a, b).iter().cloned());
             }
         }
         // A multi-hop core segment's first egress: killing it removes that
@@ -141,12 +142,14 @@ impl Invalidation {
         }
     }
 
-    fn apply(&self, db: &mut PathDb) {
-        let removed = db.store_mut().invalidate_interface(self.ia, self.ifid);
-        assert!(removed > 0, "invalidation must remove segments");
-        for h in &self.core_snapshot {
-            db.store_mut().register_core_handle(h.clone());
-        }
+    fn apply(&self, db: &EpochPathDb) {
+        db.mutate_store(|store| {
+            let removed = store.invalidate_interface(self.ia, self.ifid);
+            assert!(removed > 0, "invalidation must remove segments");
+            for h in &self.core_snapshot {
+                store.register_core_handle(h.clone());
+            }
+        });
     }
 }
 
@@ -156,9 +159,10 @@ fn median(mut v: Vec<f64>) -> f64 {
 }
 
 /// Interleaved A/B/C comparison; returns median ns/query for
-/// (reference combine, PathDb warm, PathDb cold-after-invalidation).
+/// (reference combine, EpochPathDb warm, EpochPathDb
+/// cold-after-invalidation).
 fn ab_compare(rounds: usize, iters: usize) -> (f64, f64, f64, usize) {
-    let (mut db, pairs) = setup();
+    let (db, pairs) = setup();
     let inval = Invalidation::capture(&db);
 
     // Differential sanity: the memoized DB must reproduce the reference
@@ -167,15 +171,15 @@ fn ab_compare(rounds: usize, iters: usize) -> (f64, f64, f64, usize) {
     for &(s, d) in &pairs {
         assert_eq!(
             db.paths(s, d, CAP),
-            combine_paths(db.store(), s, d, CAP),
+            combine_paths(db.snapshot().store(), s, d, CAP),
             "memoized paths diverged for {s}->{d}"
         );
     }
-    inval.apply(&mut db);
+    inval.apply(&db);
     for &(s, d) in &pairs {
         assert_eq!(
             db.paths(s, d, CAP),
-            combine_paths(db.store(), s, d, CAP),
+            combine_paths(db.snapshot().store(), s, d, CAP),
             "memoized paths diverged after invalidation for {s}->{d}"
         );
     }
@@ -183,10 +187,11 @@ fn ab_compare(rounds: usize, iters: usize) -> (f64, f64, f64, usize) {
     let queries = iters * pairs.len();
     let (mut ref_ns, mut warm_ns, mut cold_ns) = (Vec::new(), Vec::new(), Vec::new());
     for round in 0..=rounds {
+        let snap = db.snapshot();
         let t = Instant::now();
         for _ in 0..iters {
             for &(s, d) in &pairs {
-                std::hint::black_box(combine_paths(db.store(), s, d, CAP));
+                std::hint::black_box(combine_paths(snap.store(), s, d, CAP));
             }
         }
         let a = t.elapsed().as_nanos() as f64 / queries as f64;
@@ -204,7 +209,7 @@ fn ab_compare(rounds: usize, iters: usize) -> (f64, f64, f64, usize) {
         // generation-stale, then each query revalidates or recombines.
         let t = Instant::now();
         for _ in 0..iters {
-            inval.apply(&mut db);
+            inval.apply(&db);
             for &(s, d) in &pairs {
                 std::hint::black_box(db.paths(s, d, CAP));
             }
@@ -290,7 +295,7 @@ fn bench_pathops(c: &mut Criterion) {
     g.bench_function("combine_uva_ufms", |b| {
         b.iter(|| combine_paths(&store, ia("71-225"), ia("71-2:0:5c"), 300))
     });
-    let mut db = PathDb::new(store.clone());
+    let db = EpochPathDb::new(store);
     g.bench_function("pathdb_warm_uva_ufms", |b| {
         b.iter(|| db.paths(ia("71-225"), ia("71-2:0:5c"), 300))
     });

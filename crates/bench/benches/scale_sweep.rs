@@ -1,5 +1,5 @@
 //! The scale-observatory sweep: 100 → 5000 ASes through the full stack
-//! (synthetic topology → beaconing → PathDb workload → router frame load
+//! (synthetic topology → beaconing → path-database workload → router frame load
 //! → discrete-event stage), emitting `BENCH_scale.json` at the repo root
 //! with per-N convergence time, cache hit rate, memory footprints,
 //! throughput and — when built with `--features profile` — the ranked

@@ -1,8 +1,10 @@
-//! Epoch-snapshot path database: concurrent lookups without a global lock.
+//! Epoch-snapshot path database: the memoized control-plane fast path,
+//! with concurrent lookups and no global lock.
 //!
-//! [`EpochPathDb`] is the RCU-flavoured successor of the single-mutex
-//! `Arc<Mutex<PathDb>>` deployment. The design splits the database into
-//! three independently-locked parts:
+//! [`EpochPathDb`] owns a [`SegmentStore`] and a bounded, sharded LRU of
+//! combined [`FullPath`] lists keyed on `(src, dst, policy fingerprint,
+//! max_paths)`. The design splits the database into three
+//! independently-locked parts:
 //!
 //! * **The published snapshot** — an `Arc<PathSnapshot>` holding an
 //!   immutable [`SegmentStore`] plus the generation it was published at.
@@ -18,27 +20,50 @@
 //!   *publishes*: clones the master (cheap — buckets hold `Arc` segment
 //!   handles, so a clone copies pointers, not segment bodies) into a
 //!   fresh snapshot and swaps the published pointer. Publish latency and
-//!   count land in `pathdb.publish_ns` / `pathdb.publish.count`, the
-//!   accounting that replaces the old `lock_pathdb` wait histograms.
+//!   count land in `pathdb.publish_ns` / `pathdb.publish.count`.
 //! * **The sharded result cache** — warm lookups hash their key to one of
 //!   `shards` independently-locked maps, so concurrent readers contend
 //!   only on key collisions within a shard, never on the writer and never
 //!   on each other across shards. A hit is: snapshot read-clone, one
 //!   shard lock, one `Arc` path-list clone.
 //!
-//! Soundness is the same generation argument the mutex [`PathDb`] makes
-//! (see the module docs there), with one concurrency addition: a cache
-//! entry always records the generation of the snapshot its paths were
-//! combined from, and install never lets an entry go backwards — a reader
-//! racing on an older snapshot cannot overwrite a newer entry. A served
-//! result therefore always equals a fresh `combine_paths` against the
-//! snapshot generation returned alongside it, which is exactly what the
-//! concurrency stress test asserts.
+//! Soundness rests on the store's generation counter:
 //!
-//! [`PathDb`]: crate::pathdb::PathDb
+//! * Every store mutation (registration, expiry, interface invalidation)
+//!   bumps [`SegmentStore::generation`], so a cached entry stamped with a
+//!   different generation than the snapshot is *known possibly-stale* —
+//!   there is no code path that changes store contents without moving
+//!   the counter.
+//! * A stale entry is not necessarily wrong: each entry also records the
+//!   content fingerprint ([`SegmentStore::bucket_fingerprint`]) of every
+//!   bucket its combination consulted (including empty buckets, whose
+//!   emptiness decided the combination shape). If none of those
+//!   fingerprints differ, the consulted contents are identical and the
+//!   entry is revalidated in place — an unrelated mutation, or one that
+//!   removed and then restored the same segments, costs a handful of map
+//!   probes, not a recombination.
+//! * If only *core* buckets moved and the raw per-pair output was
+//!   retained, only the (up, down) pairs that consulted a changed core
+//!   bucket are recombined via `combine_pair`; untouched pairs reuse
+//!   their recorded raw paths and the shared finalize step reproduces the
+//!   exact fresh result (same push order, same sort/dedup/truncate).
+//! * Otherwise the entry is fully recombined — still through the single
+//!   `combine_paths_recorded` code path, so memoized and fresh results
+//!   are byte-for-byte identical by construction.
+//! * Concurrency adds one rule: a cache entry always records the
+//!   generation of the snapshot its paths were combined from, and install
+//!   never lets an entry go backwards — a reader racing on an older
+//!   snapshot cannot overwrite a newer entry. A served result therefore
+//!   always equals a fresh `combine_paths` against the snapshot generation
+//!   returned alongside it, which is exactly what the concurrency stress
+//!   test asserts.
+//!
+//! Counters: `pathdb.cache.{hit,miss,evict,invalidate,revalidate,partial}`
+//! plus the `store.generation` gauge, surfaced on the operator console's
+//! `pathdb:` line and in the Prometheus exposition.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,10 +72,9 @@ use parking_lot::{Mutex, RwLock};
 use sciera_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use scion_proto::addr::IsdAsn;
 
-use crate::combine::{combine_paths_recorded, CombineRecord, PairRaw};
+use crate::combine::{combine_pair, combine_paths_recorded, finalize, CombineRecord, PairRaw};
 use crate::fullpath::FullPath;
-use crate::pathdb::{incremental_recombine, policy_fingerprint};
-use crate::policy::PathPolicy;
+use crate::policy::{policy_fingerprint, PathPolicy};
 use crate::store::{BucketDep, SegmentStore};
 
 /// Sizing knobs for the epoch database's sharded cache.
@@ -62,9 +86,8 @@ pub struct EpochConfig {
     /// `capacity / shards`, at least 1).
     pub capacity: usize,
     /// Maximum raw per-pair paths retained per entry for incremental
-    /// recombination (same bound as [`PathDbConfig::raw_limit`]).
-    ///
-    /// [`PathDbConfig::raw_limit`]: crate::pathdb::PathDbConfig::raw_limit
+    /// recombination; entries above this fall back to full recombination
+    /// when invalidated (bounding memory, never correctness).
     pub raw_limit: usize,
     /// Admission control: cache-miss combinations in flight at once
     /// across all readers. `0` (the default) disables the gate. A bounded
@@ -348,10 +371,10 @@ impl EpochPathDb {
 
     /// Drops every cached entry containing a path crossing interface
     /// `ifid` of `ia` — the SCMP `ExternalInterfaceDown` reaction. The
-    /// store (and its generation) is untouched, exactly like the mutex
-    /// database: the segments are still validly signed, so the next query
-    /// recombines the same result from current contents. The sweep holds
-    /// the master lock so it serializes with publishes, and visits every
+    /// store (and its generation) is untouched: the segments are still
+    /// validly signed (liveness is the data plane's concern), so the next
+    /// query recombines the same result from current contents. The sweep
+    /// holds the master lock so it serializes with publishes, and visits every
     /// shard before returning — a lookup issued after this returns can
     /// only see swept shards. Returns how many entries were dropped.
     pub fn invalidate_paths_crossing(&self, ia: IsdAsn, ifid: u16) -> usize {
@@ -462,9 +485,9 @@ impl EpochPathDb {
         }
     }
 
-    /// Approximate resident bytes of the cache (finalized paths plus
-    /// retained raw recombination state), matching the mutex database's
-    /// accounting.
+    /// Approximate resident bytes of the cache: finalized paths plus
+    /// retained raw recombination state. Interned segment bodies are the
+    /// store's (see [`SegmentStore::approx_bytes`]).
     pub fn approx_cache_bytes(&self) -> usize {
         self.inner
             .shards
@@ -712,6 +735,80 @@ impl EpochPathDb {
     }
 }
 
+/// Recombines only the (up, down) pairs whose consulted core bucket moved,
+/// reusing recorded raw output for the rest. Returns `None` when the
+/// recorded raw state doesn't line up with the current buckets (shape
+/// change, missing pair) — the caller then recombines fully.
+///
+/// Precondition (checked by the caller): the entry's up/down bucket deps
+/// are unchanged, so the current up/down buckets are exactly the ones the
+/// raw output was recorded against, in the same order.
+fn incremental_recombine(
+    store: &SegmentStore,
+    src: IsdAsn,
+    dst: IsdAsn,
+    max_paths: usize,
+    old_deps: &[(BucketDep, u64)],
+    old_raw: &[PairRaw],
+) -> Option<CombineRecord> {
+    let old_fps: BTreeMap<BucketDep, u64> = old_deps.iter().copied().collect();
+    let mut old_idx: HashMap<([u8; 32], [u8; 32]), &PairRaw> = HashMap::new();
+    for pr in old_raw {
+        old_idx.insert((pr.up_id, pr.down_id), pr);
+    }
+
+    let src_ups = store.up_segment_handles(src);
+    let dst_downs = store.up_segment_handles(dst);
+    if src_ups.is_empty() || dst_downs.is_empty() {
+        return None; // shape changed under us — recombine fully
+    }
+
+    let mut out: Vec<FullPath> = Vec::new();
+    let mut deps: BTreeSet<BucketDep> = BTreeSet::new();
+    deps.insert(BucketDep::UpDown(src));
+    deps.insert(BucketDep::UpDown(dst));
+    let mut pairs: Vec<PairRaw> = Vec::with_capacity(old_raw.len());
+
+    for u in src_ups {
+        for d in dst_downs {
+            let reusable = old_idx.get(&(u.id(), d.id())).filter(|pr| {
+                pr.core_dep.is_none_or(|dep| {
+                    store.bucket_fingerprint(dep) == old_fps.get(&dep).copied().unwrap_or(0)
+                })
+            });
+            if let Some(pr) = reusable {
+                if let Some(dep) = pr.core_dep {
+                    deps.insert(dep);
+                }
+                out.extend(pr.paths.iter().cloned());
+                pairs.push((*pr).clone()); // Arc bump, not a deep path clone
+            } else {
+                let start = out.len();
+                let core_dep = combine_pair(store, src, dst, u, d, &mut |p| {
+                    if let Ok(p) = p {
+                        out.push(p);
+                    }
+                });
+                if let Some(dep) = core_dep {
+                    deps.insert(dep);
+                }
+                pairs.push(PairRaw {
+                    up_id: u.id(),
+                    down_id: d.id(),
+                    core_dep,
+                    paths: std::sync::Arc::new(out[start..].to_vec()),
+                });
+            }
+        }
+    }
+
+    Some(CombineRecord {
+        paths: finalize(out, max_paths),
+        deps: deps.into_iter().collect(),
+        raw: Some(pairs),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,8 +818,7 @@ mod tests {
     use crate::policy::{Acl, HopPredicate, PathPolicy};
     use scion_proto::addr::ia;
 
-    /// Two cores, two leaves each, plus a leaf peering link (the pathdb
-    /// test mesh, so behaviours can be compared 1:1).
+    /// Three meshed cores, four leaves, plus a leaf peering link.
     fn mesh() -> SegmentStore {
         let mut g = ControlGraph::new();
         g.add_as(ia("71-1"), true);
@@ -762,6 +858,10 @@ mod tests {
             assert_matches_fresh(&db, "71-1", "71-3");
         }
         assert_eq!(db.cached_entries(), 3);
+        let m = db.m();
+        assert_eq!(m.misses.get(), 3);
+        assert!(m.hits.get() >= 6, "hits: {}", m.hits.get());
+        assert_eq!(m.invalidates.get(), 0);
     }
 
     #[test]
@@ -780,6 +880,21 @@ mod tests {
         let fresh = combine_paths(db.snapshot().store(), ia("71-10"), ia("71-20"), 100);
         assert_eq!(after, fresh);
         assert_ne!(before, after, "mutation must change the result");
+        assert!(db.m().invalidates.get() >= 1);
+    }
+
+    #[test]
+    fn unrelated_mutation_revalidates_without_recombination() {
+        let db = EpochPathDb::new(mesh());
+        db.paths(ia("71-10"), ia("71-20"), 100);
+        // Mutate a bucket the 10->20 combination never consults.
+        let seg30 = db.snapshot().store().up_segment_handles(ia("71-30"))[0].clone();
+        let ifid = seg30.entries[0].hop.cons_egress;
+        assert!(db.mutate_store(|s| s.invalidate_interface(ia("71-3"), ifid)) > 0);
+        assert_matches_fresh(&db, "71-10", "71-20");
+        let m = db.m();
+        assert_eq!(m.revalidates.get(), 1);
+        assert_eq!(m.invalidates.get(), 0);
     }
 
     #[test]
@@ -850,7 +965,12 @@ mod tests {
         let mut expect = combine_paths(db.snapshot().store(), ia("71-10"), ia("71-20"), 100);
         deny_core2.filter(&mut expect);
         assert_eq!(filtered, expect);
+        // Warm repeat of both keys.
         assert_eq!(db.paths(ia("71-10"), ia("71-20"), 100), unfiltered);
+        assert_eq!(
+            db.paths_filtered(ia("71-10"), ia("71-20"), 100, &deny_core2),
+            filtered
+        );
     }
 
     #[test]
@@ -867,6 +987,8 @@ mod tests {
         db.paths(ia("71-10"), ia("71-30"), 100);
         db.paths(ia("71-20"), ia("71-30"), 100);
         assert_eq!(db.cached_entries(), 2);
+        assert_eq!(db.m().evicts.get(), 1);
+        // Evicted key recombines and still matches fresh.
         assert_matches_fresh(&db, "71-10", "71-20");
     }
 
@@ -974,6 +1096,7 @@ mod tests {
             combine_paths(db.snapshot().store(), ia("71-10"), ia("71-30"), 100)
         );
         let m = db.m();
+        assert_eq!(m.invalidates.get(), 1);
         assert_eq!(m.partials.get(), 1, "expected incremental recombination");
     }
 }

@@ -25,8 +25,8 @@ use sciera_topology::ases::{all_ases, fig8_vantages, measurement_points};
 use sciera_topology::ip::IpBaseline;
 use sciera_topology::links::{build_control_graph, BuiltTopology};
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
+use scion_control::epoch::EpochPathDb;
 use scion_control::fullpath::FullPath;
-use scion_control::pathdb::PathDb;
 use scion_proto::addr::IsdAsn;
 
 /// Campaign configuration.
@@ -322,7 +322,7 @@ impl Campaign {
         // All campaign lookups go through the memoized path DB; its
         // combine timings land in the shared telemetry like the direct
         // combinator's used to.
-        let mut pathdb = PathDb::new(store);
+        let pathdb = EpochPathDb::new(store);
         pathdb.set_telemetry(self.telemetry.clone());
 
         // Pair universe: the 11 tool hosts plus every Fig. 8 vantage
@@ -353,7 +353,12 @@ impl Campaign {
                 // release-mode figure runs).
                 debug_assert_eq!(
                     full,
-                    scion_control::combine::combine_paths(pathdb.store(), s, d, cfg.max_paths),
+                    scion_control::combine::combine_paths(
+                        pathdb.snapshot().store(),
+                        s,
+                        d,
+                        cfg.max_paths
+                    ),
                     "memoized combination diverged for {s}->{d}"
                 );
                 let candidates: Vec<CandPath> = full

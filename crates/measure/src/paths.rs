@@ -5,8 +5,8 @@ use sciera_topology::ases::fig8_vantages;
 use sciera_topology::links::build_control_graph;
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
 use scion_control::combine::combine_paths;
+use scion_control::epoch::EpochPathDb;
 use scion_control::fullpath::paper_disjointness;
-use scion_control::pathdb::PathDb;
 use scion_proto::addr::IsdAsn;
 
 use crate::campaign::MeasurementStore;
@@ -156,7 +156,7 @@ pub fn fig10b(candidates_per_origin: usize, per_pair_cap: usize) -> Fig10b {
     )
     .run()
     .expect("beaconing succeeds");
-    let mut db = PathDb::new(store);
+    let db = EpochPathDb::new(store);
     let vantages = fig8_vantages();
     let mut s = Summary::new();
     let mut fully = 0usize;
@@ -172,7 +172,7 @@ pub fn fig10b(candidates_per_origin: usize, per_pair_cap: usize) -> Fig10b {
             // combinator's path set for the figure (debug builds only).
             debug_assert_eq!(
                 paths.len(),
-                combine_paths(db.store(), src, dst, per_pair_cap).len(),
+                combine_paths(db.snapshot().store(), src, dst, per_pair_cap).len(),
                 "memoized path count diverged for {src}->{dst}"
             );
             for i in 0..paths.len() {

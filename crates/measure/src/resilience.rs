@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use sciera_topology::ases::{all_ases, fig8_vantages};
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
 use scion_control::combine::combine_paths;
-use scion_control::pathdb::PathDb;
+use scion_control::epoch::EpochPathDb;
 use scion_proto::addr::IsdAsn;
 
 use crate::campaign::{Campaign, CampaignConfig, CandPath};
@@ -89,7 +89,7 @@ pub fn fig10c(runs: u32, seed: u64, all_pairs: bool) -> Fig10c {
     )
     .run()
     .expect("beaconing succeeds");
-    let mut db = PathDb::new(store);
+    let db = EpochPathDb::new(store);
 
     let endpoints: Vec<IsdAsn> = if all_pairs {
         all_ases()
@@ -113,7 +113,7 @@ pub fn fig10c(runs: u32, seed: u64, all_pairs: bool) -> Fig10c {
             // direct combinator yields (debug builds only).
             debug_assert_eq!(
                 paths.len(),
-                combine_paths(db.store(), s, d, 150).len(),
+                combine_paths(db.snapshot().store(), s, d, 150).len(),
                 "memoized path count diverged for {s}->{d}"
             );
             pair_paths.push(

@@ -20,7 +20,7 @@
 //!
 //! Policies are identified by a stable [`AdaptivePolicy::fingerprint`]
 //! which composes (XOR) with the control plane's
-//! `scion_control::pathdb::policy_fingerprint`, so adaptive variants of
+//! `scion_control::policy::policy_fingerprint`, so adaptive variants of
 //! the same filter policy occupy distinct memoization slots.
 
 use std::collections::HashMap;

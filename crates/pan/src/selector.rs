@@ -272,8 +272,7 @@ impl PathSelector {
     /// instead of the static preference order: policy filtering and the
     /// SCMP dead-list still apply, then `policy` orders what remains by
     /// the rolling statistics in `view`. The selector's own
-    /// [`Preference`](scion_control::policy::Preference) is ignored for
-    /// this ranking.
+    /// [`Preference`] is ignored for this ranking.
     pub fn adaptive_ranked(
         &self,
         policy: &crate::adaptive::AdaptivePolicy,

@@ -2,7 +2,7 @@
 //!
 //! The scale observatory needs to know *which subsystem* the wall clock went
 //! to at a given topology size: event-loop dispatch, beaconing, segment-store
-//! ops, PathDb combine/lookup, or the router batch passes. Each subsystem
+//! ops, path-database combine/lookup, or the router batch passes. Each subsystem
 //! brackets its work in a [`ProfScope`] guard obtained from
 //! `Telemetry::prof_scope`; scopes nest into a call tree keyed
 //! `(parent, name)` and every exit attributes the elapsed wall time to the
@@ -22,9 +22,9 @@
 //!   monotonic clock, so the sum of direct children's inclusive time never
 //!   exceeds the parent's inclusive time and self time is never negative.
 //!
-//! Externally measured durations (e.g. the time spent *waiting* on the
-//! `Arc<Mutex<PathDb>>` hot lock, which by definition cannot run inside a
-//! scope of its own) enter the tree through [`Profiler::record_leaf`].
+//! Externally measured durations (e.g. the time spent *waiting* on a
+//! contended lock, which by definition cannot run inside a scope of its
+//! own) enter the tree through [`Profiler::record_leaf`].
 //!
 //! With the `profile` feature disabled (the default) every type here is a
 //! zero-sized no-op and `prof_scope` compiles to nothing, keeping the

@@ -58,10 +58,10 @@ cargo test -q --test concurrency --features parallel
 echo "==> cargo test -q --test prop_fastpath --no-default-features"
 cargo test -q --test prop_fastpath --no-default-features
 
-# Same for the memoized path-database proptests (mutex and epoch): the
-# default-features run is part of `cargo test -q` above, the parallel run
-# pins the worker-pool path byte-for-byte against the single-threaded
-# reference.
+# Same for the memoized path-database proptest (EpochPathDb against a
+# fresh `combine_paths`): the default-features run is part of
+# `cargo test -q` above, the parallel run pins the worker-pool prefetch
+# byte-for-byte against the single-threaded combinator.
 echo "==> cargo test -q --test prop_pathdb --no-default-features"
 cargo test -q --test prop_pathdb --no-default-features
 
@@ -94,14 +94,15 @@ echo "==> cargo bench --no-run"
 cargo bench --no-run
 
 # Profiler-off overhead guard: the disabled scale-observatory plumbing
-# (no-op ProfScope on the router batch path, lock_pathdb over the shared
-# PathDb mutex) must stay within measurement noise of the raw paths.
+# (a no-op ProfScope on the router batch path) must stay within
+# measurement noise of the raw path.
 echo "==> cargo bench -p sciera-bench --bench profiler_overhead"
 cargo bench -p sciera-bench --bench profiler_overhead
 
-# Epoch-snapshot overhead guard: at K=1 (single-threaded mode) the
-# snapshot design's extra machinery — published-pointer read, shard hash,
-# Arc bump — must stay within noise of the mutex design it replaced.
+# Path-database overhead guard: at K=1 (single-threaded mode) a warm
+# EpochPathDb lookup — published-pointer read, shard hash, shard lock,
+# path-list copy — must cost under 5% of the fresh `combine_paths` it
+# memoizes (median of interleaved rounds).
 echo "==> cargo bench -p sciera-bench --bench epoch_overhead"
 cargo bench -p sciera-bench --bench epoch_overhead
 
@@ -112,7 +113,7 @@ echo "==> cargo bench -p sciera-bench --bench propagate_overhead --features para
 cargo bench -p sciera-bench --bench propagate_overhead --features parallel
 
 # Bounded smoke sweep: N=100 and N=1000 through the full scale pipeline
-# (synthesis -> beaconing -> PathDb -> router load -> sim stage) with the
+# (synthesis -> beaconing -> path database -> router load -> sim stage) with the
 # profiler and the worker pool engaged, written to target/ so it never
 # clobbers the committed BENCH_scale.json. At N=1000 the parallel
 # pipeline must have dethroned `beacon.propagate` as the bottleneck —
@@ -139,6 +140,11 @@ SCIERA_DYN_EPOCHS=24 SCIERA_DYN_ASES=40 SCIERA_DYN_PAIRS=3 \
 test -s target/dynamics_smoke/paths.jsonl
 test -s target/dynamics_smoke/events.jsonl
 test -s target/dynamics_smoke/bench.json
+
+# Rustdoc gate: every intra-doc link must resolve, so a doc reference to
+# a deleted item fails here instead of rotting silently.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo fmt --check"
 cargo fmt --check

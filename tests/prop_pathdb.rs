@@ -1,9 +1,10 @@
 //! Differential property test for the memoized path database: under any
 //! interleaving of segment registrations, link-kill invalidations, and
-//! path queries on a random topology, [`PathDb`] must return byte-for-byte
-//! what the reference combinator computes fresh from the same store. This
-//! pins the generation-invalidation scheme: a stale cache hit would show up
-//! as a divergence immediately after a mutation.
+//! path queries on a random topology, [`EpochPathDb`] must return
+//! byte-for-byte what the reference combinator `combine_paths` computes
+//! fresh from the published snapshot. This pins the generation-
+//! invalidation scheme: a stale cache hit would show up as a divergence
+//! immediately after a mutation.
 
 use proptest::prelude::*;
 
@@ -11,7 +12,6 @@ use sciera::control::beacon::{BeaconConfig, BeaconEngine};
 use sciera::control::combine::combine_paths;
 use sciera::control::epoch::EpochPathDb;
 use sciera::control::graph::{ControlGraph, LinkType};
-use sciera::control::pathdb::PathDb;
 use sciera::control::segment::{PathSegment, SegmentType};
 use sciera::control::store::SegmentStore;
 use sciera::prelude::*;
@@ -117,17 +117,20 @@ fn register_into(store: &mut SegmentStore, seg: &PathSegment) {
     }
 }
 
-/// Registers one pooled segment into the database's store.
-fn register(db: &mut PathDb, seg: &PathSegment) {
-    register_into(db.store_mut(), seg);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The core differential property: memoized == fresh, always.
+    /// The core differential property: memoized == fresh, always. Every
+    /// query must equal `combine_paths` against the snapshot published
+    /// after the preceding mutations, and after every mutation each pair
+    /// queried so far (each cached entry) is re-checked, so a stale hit
+    /// shows up at the first mutation that should have changed it. Built
+    /// with the `parallel` feature
+    /// the final prefetch fans combination over the worker pool, so
+    /// running this test in every config pins the parallel path against
+    /// the single-threaded combinator.
     #[test]
-    fn pathdb_matches_reference_under_mutation(
+    fn epoch_pathdb_matches_combine_paths_under_mutation(
         topo in arb_topo(),
         ops in arb_ops(),
         final_picks in prop::collection::vec((any::<u8>(), any::<u8>()), 4),
@@ -152,20 +155,24 @@ proptest! {
         let pool: Vec<PathSegment> = rich.all_segments().cloned().collect();
         prop_assume!(!pool.is_empty());
 
-        let mut db = PathDb::new(sparse);
+        let db = EpochPathDb::new(sparse);
         let all: Vec<IsdAsn> = graph.ases().map(|a| a.ia).collect();
+        let mut queried: Vec<(IsdAsn, IsdAsn)> = Vec::new();
 
         for op in &ops {
-            match *op {
+            let mutated = match *op {
                 Op::Register(i) => {
-                    register(&mut db, &pool[i as usize % pool.len()]);
+                    let seg = &pool[i as usize % pool.len()];
+                    db.mutate_store(|s| register_into(s, seg));
+                    true
                 }
                 Op::Kill(a, b) => {
                     let node = graph.as_node(all[a as usize % all.len()]).unwrap();
                     if !node.interfaces.is_empty() {
                         let ifid = node.interfaces[b as usize % node.interfaces.len()].id;
-                        db.store_mut().invalidate_interface(node.ia, ifid);
+                        db.mutate_store(|s| s.invalidate_interface(node.ia, ifid));
                     }
+                    true
                 }
                 Op::Query(s, d) => {
                     let (s, d) = (all[s as usize % all.len()], all[d as usize % all.len()]);
@@ -173,116 +180,38 @@ proptest! {
                         continue;
                     }
                     let memoized = db.paths(s, d, 64);
-                    let fresh = combine_paths(db.store(), s, d, 64);
+                    let fresh = combine_paths(db.snapshot().store(), s, d, 64);
                     prop_assert_eq!(memoized, fresh, "divergence for {}->{}", s, d);
-                }
-            }
-        }
-        // Final sweep: repeated queries (cache hits) still match.
-        for &(s, d) in &final_picks {
-            let (s, d) = (all[s as usize % all.len()], all[d as usize % all.len()]);
-            if s == d {
-                continue;
-            }
-            let memoized = db.paths(s, d, 64);
-            let again = db.paths(s, d, 64);
-            prop_assert_eq!(&memoized, &again, "warm hit unstable for {}->{}", s, d);
-            let fresh = combine_paths(db.store(), s, d, 64);
-            prop_assert_eq!(memoized, fresh, "final divergence for {}->{}", s, d);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The epoch-snapshot database must track the mutex reference exactly:
-    /// under the same interleaving of registrations, kills and queries on
-    /// stores that start identical, every [`EpochPathDb`] query equals both
-    /// the fresh combinator against its own published snapshot AND the
-    /// mutex [`PathDb`]'s answer byte-for-byte. Built with the `parallel`
-    /// feature the epoch side fans prefetch combination over the worker
-    /// pool, so running this test in both configs pins the parallel path
-    /// against the single-threaded reference.
-    #[test]
-    fn epoch_pathdb_matches_mutex_reference_under_mutation(
-        topo in arb_topo(),
-        ops in arb_ops(),
-        final_picks in prop::collection::vec((any::<u8>(), any::<u8>()), 4),
-    ) {
-        let Some(graph) = build(&topo) else {
-            return Ok(()); // degenerate spec: nothing to check
-        };
-        let sparse = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig {
-            candidates_per_origin: 2,
-            ..Default::default()
-        })
-        .run()
-        .expect("sparse beaconing converges");
-        let rich = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig {
-            candidates_per_origin: 8,
-            ..Default::default()
-        })
-        .run()
-        .expect("rich beaconing converges");
-        let pool: Vec<PathSegment> = rich.all_segments().cloned().collect();
-        prop_assume!(!pool.is_empty());
-
-        let edb = EpochPathDb::new(sparse.clone());
-        let mut mdb = PathDb::new(sparse);
-        let all: Vec<IsdAsn> = graph.ases().map(|a| a.ia).collect();
-
-        for op in &ops {
-            match *op {
-                Op::Register(i) => {
-                    let seg = &pool[i as usize % pool.len()];
-                    edb.mutate_store(|s| register_into(s, seg));
-                    register(&mut mdb, seg);
-                }
-                Op::Kill(a, b) => {
-                    let node = graph.as_node(all[a as usize % all.len()]).unwrap();
-                    if !node.interfaces.is_empty() {
-                        let ifid = node.interfaces[b as usize % node.interfaces.len()].id;
-                        edb.mutate_store(|s| s.invalidate_interface(node.ia, ifid));
-                        mdb.store_mut().invalidate_interface(node.ia, ifid);
+                    if !queried.contains(&(s, d)) {
+                        queried.push((s, d));
                     }
+                    false
                 }
-                Op::Query(s, d) => {
-                    let (s, d) = (all[s as usize % all.len()], all[d as usize % all.len()]);
-                    if s == d {
-                        continue;
-                    }
-                    let memoized = edb.paths(s, d, 64);
-                    let snap = edb.snapshot();
+            };
+            if mutated {
+                let snap = db.snapshot();
+                for &(s, d) in &queried {
+                    let memoized = db.paths(s, d, 64);
                     let fresh = combine_paths(snap.store(), s, d, 64);
-                    prop_assert_eq!(&memoized, &fresh, "epoch != fresh for {}->{}", s, d);
-                    let mutex_ref = mdb.paths(s, d, 64);
-                    prop_assert_eq!(memoized, mutex_ref, "epoch != mutex for {}->{}", s, d);
+                    prop_assert_eq!(memoized, fresh, "stale entry for {}->{}", s, d);
                 }
             }
         }
-        // Final prefetch sweep: warm the remaining pairs in one batch (the
-        // worker-pool path under `parallel`), then compare each byte-for-byte
-        // against the sequential mutex reference.
+        // Final sweep: warm the remaining pairs in one prefetch batch (the
+        // worker-pool path under `parallel`), then check that repeated
+        // queries (cache hits) are stable and still match fresh.
         let pairs: Vec<(IsdAsn, IsdAsn)> = final_picks
             .iter()
             .map(|&(s, d)| (all[s as usize % all.len()], all[d as usize % all.len()]))
             .filter(|(s, d)| s != d)
             .collect();
-        edb.prefetch(&pairs, 64);
+        db.prefetch(&pairs, 64);
         for &(s, d) in &pairs {
-            let memoized = edb.paths(s, d, 64);
-            prop_assert_eq!(
-                &memoized,
-                &mdb.paths(s, d, 64),
-                "prefetched epoch != mutex for {}->{}", s, d
-            );
-            let snap = edb.snapshot();
-            prop_assert_eq!(
-                memoized,
-                combine_paths(snap.store(), s, d, 64),
-                "prefetched epoch != fresh for {}->{}", s, d
-            );
+            let memoized = db.paths(s, d, 64);
+            let again = db.paths(s, d, 64);
+            prop_assert_eq!(&memoized, &again, "warm hit unstable for {}->{}", s, d);
+            let fresh = combine_paths(db.snapshot().store(), s, d, 64);
+            prop_assert_eq!(memoized, fresh, "final divergence for {}->{}", s, d);
         }
     }
 }
@@ -312,7 +241,7 @@ fn store_mutation_flushes_affected_entries() {
     let store = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default())
         .run()
         .unwrap();
-    let mut db = PathDb::new(store);
+    let db = EpochPathDb::new(store);
 
     let before = db.paths(ia("71-300"), ia("71-301"), 64);
     assert!(!before.is_empty(), "pair starts connected");
@@ -324,7 +253,7 @@ fn store_mutation_flushes_affected_entries() {
 
     // Kill 71-100's child interface toward 71-300: up segments through it
     // vanish from the store; the cached entry is generation-stale.
-    let removed = db.store_mut().invalidate_interface(ia("71-100"), up_if);
+    let removed = db.mutate_store(|s| s.invalidate_interface(ia("71-100"), up_if));
     assert!(
         removed > 0,
         "segments crossing the killed interface removed"
@@ -333,7 +262,7 @@ fn store_mutation_flushes_affected_entries() {
     let after = db.paths(ia("71-300"), ia("71-301"), 64);
     assert_eq!(
         after,
-        combine_paths(db.store(), ia("71-300"), ia("71-301"), 64),
+        combine_paths(db.snapshot().store(), ia("71-300"), ia("71-301"), 64),
         "post-mutation query must match the reference"
     );
     assert!(
