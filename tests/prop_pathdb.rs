@@ -1,16 +1,23 @@
-//! Differential property test for the memoized path database: under any
+//! Differential property tests for the memoized path database: under any
 //! interleaving of segment registrations, link-kill invalidations, and
 //! path queries on a random topology, [`EpochPathDb`] must return
 //! byte-for-byte what the reference combinator `combine_paths` computes
-//! fresh from the published snapshot. This pins the generation-
-//! invalidation scheme: a stale cache hit would show up as a divergence
-//! immediately after a mutation.
+//! fresh from the published snapshot, and what a mutex-guarded reference
+//! that applies the same mutations to its own copy of the store serves.
+//! This pins the generation-invalidation scheme (a stale cache hit shows
+//! up as a divergence immediately after a mutation) and snapshot
+//! publication (a mutation that never reaches the published snapshot
+//! shows up against the independent store).
+
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 
 use sciera::control::beacon::{BeaconConfig, BeaconEngine};
 use sciera::control::combine::combine_paths;
 use sciera::control::epoch::EpochPathDb;
+use sciera::control::fullpath::FullPath;
 use sciera::control::graph::{ControlGraph, LinkType};
 use sciera::control::segment::{PathSegment, SegmentType};
 use sciera::control::store::SegmentStore;
@@ -130,7 +137,7 @@ proptest! {
     /// running this test in every config pins the parallel path against
     /// the single-threaded combinator.
     #[test]
-    fn epoch_pathdb_matches_combine_paths_under_mutation(
+    fn pathdb_matches_reference_under_mutation(
         topo in arb_topo(),
         ops in arb_ops(),
         final_picks in prop::collection::vec((any::<u8>(), any::<u8>()), 4),
@@ -212,6 +219,133 @@ proptest! {
             prop_assert_eq!(&memoized, &again, "warm hit unstable for {}->{}", s, d);
             let fresh = combine_paths(db.snapshot().store(), s, d, 64);
             prop_assert_eq!(memoized, fresh, "final divergence for {}->{}", s, d);
+        }
+    }
+}
+
+/// The simplest correct memoized path database: one mutex over its own
+/// store and a result map that every mutation clears wholesale. It shares
+/// no cache, generation or snapshot code with [`EpochPathDb`].
+struct MutexReference {
+    inner: Mutex<(SegmentStore, HashMap<(IsdAsn, IsdAsn), Vec<FullPath>>)>,
+}
+
+impl MutexReference {
+    fn new(store: SegmentStore) -> Self {
+        MutexReference {
+            inner: Mutex::new((store, HashMap::new())),
+        }
+    }
+
+    fn mutate_store(&self, f: impl FnOnce(&mut SegmentStore)) {
+        let mut guard = self.inner.lock().unwrap();
+        f(&mut guard.0);
+        guard.1.clear();
+    }
+
+    fn paths(&self, src: IsdAsn, dst: IsdAsn) -> Vec<FullPath> {
+        let mut guard = self.inner.lock().unwrap();
+        let (store, cache) = &mut *guard;
+        cache
+            .entry((src, dst))
+            .or_insert_with(|| combine_paths(store, src, dst, 64))
+            .clone()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The epoch-snapshot database must track the mutex reference exactly:
+    /// under the same interleaving of registrations, kills and queries on
+    /// stores that start identical, every [`EpochPathDb`] query equals both
+    /// the fresh combinator against its own published snapshot AND the
+    /// [`MutexReference`] answer, which is computed from a store the
+    /// database never touches. Built with the `parallel` feature the
+    /// epoch side fans prefetch combination over the worker pool, so
+    /// running this test in every config pins the parallel path against
+    /// the single-threaded reference.
+    #[test]
+    fn epoch_pathdb_matches_mutex_reference_under_mutation(
+        topo in arb_topo(),
+        ops in arb_ops(),
+        final_picks in prop::collection::vec((any::<u8>(), any::<u8>()), 4),
+    ) {
+        let Some(graph) = build(&topo) else {
+            return Ok(()); // degenerate spec: nothing to check
+        };
+        let sparse = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig {
+            candidates_per_origin: 2,
+            ..Default::default()
+        })
+        .run()
+        .expect("sparse beaconing converges");
+        let rich = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig {
+            candidates_per_origin: 8,
+            ..Default::default()
+        })
+        .run()
+        .expect("rich beaconing converges");
+        let pool: Vec<PathSegment> = rich.all_segments().cloned().collect();
+        prop_assume!(!pool.is_empty());
+
+        let edb = EpochPathDb::new(sparse.clone());
+        let mref = MutexReference::new(sparse);
+        let all: Vec<IsdAsn> = graph.ases().map(|a| a.ia).collect();
+
+        for op in &ops {
+            match *op {
+                Op::Register(i) => {
+                    let seg = &pool[i as usize % pool.len()];
+                    edb.mutate_store(|s| register_into(s, seg));
+                    mref.mutate_store(|s| register_into(s, seg));
+                }
+                Op::Kill(a, b) => {
+                    let node = graph.as_node(all[a as usize % all.len()]).unwrap();
+                    if !node.interfaces.is_empty() {
+                        let ifid = node.interfaces[b as usize % node.interfaces.len()].id;
+                        edb.mutate_store(|s| s.invalidate_interface(node.ia, ifid));
+                        mref.mutate_store(|s| {
+                            s.invalidate_interface(node.ia, ifid);
+                        });
+                    }
+                }
+                Op::Query(s, d) => {
+                    let (s, d) = (all[s as usize % all.len()], all[d as usize % all.len()]);
+                    if s == d {
+                        continue;
+                    }
+                    let memoized = edb.paths(s, d, 64);
+                    let snap = edb.snapshot();
+                    let fresh = combine_paths(snap.store(), s, d, 64);
+                    prop_assert_eq!(&memoized, &fresh, "epoch != fresh for {}->{}", s, d);
+                    let mutex_ref = mref.paths(s, d);
+                    prop_assert_eq!(memoized, mutex_ref, "epoch != mutex for {}->{}", s, d);
+                }
+            }
+        }
+        // Final prefetch sweep: warm the remaining pairs in one batch (the
+        // worker-pool path under `parallel`), then compare each byte-for-byte
+        // against the sequential mutex reference.
+        let pairs: Vec<(IsdAsn, IsdAsn)> = final_picks
+            .iter()
+            .map(|&(s, d)| (all[s as usize % all.len()], all[d as usize % all.len()]))
+            .filter(|(s, d)| s != d)
+            .collect();
+        edb.prefetch(&pairs, 64);
+        for &(s, d) in &pairs {
+            let memoized = edb.paths(s, d, 64);
+            prop_assert_eq!(
+                &memoized,
+                &mref.paths(s, d),
+                "prefetched epoch != mutex for {}->{}", s, d
+            );
+            let snap = edb.snapshot();
+            prop_assert_eq!(
+                memoized,
+                combine_paths(snap.store(), s, d, 64),
+                "prefetched epoch != fresh for {}->{}", s, d
+            );
         }
     }
 }
